@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test race figures-smoke shards-golden fuzz bench bench-check cover check clean
+.PHONY: all build vet fmt-check test race figures-smoke shards-golden fuzz bench bench-check perfbench-check cover check clean
 
 all: build
 
@@ -77,6 +77,14 @@ bench-check:
 	$(GO) test -run '^$$' -bench '^BenchmarkSelect$$|^BenchmarkSelectSharded$$|^BenchmarkDigestMerge$$|^BenchmarkNetsimChurn$$|^BenchmarkSweepFigure6b$$|^BenchmarkAppendReplicated$$|^BenchmarkRPCRoundTrip$$|^BenchmarkRPCPooledFanout$$|^BenchmarkLookupCached$$|^BenchmarkLookupBatchValidate$$' \
 		-benchmem -timeout 0 ./internal/flowserver ./internal/flowctl ./internal/netsim ./internal/experiment ./internal/dataserver ./internal/rpc ./internal/client ./internal/nameserver \
 		| $(GO) run ./cmd/bench2json -compare BENCH_selection.json -max-regress 0.20
+
+# perfbench-check vets and short-tests the end-to-end benchmark, a nested
+# module (perfbench/go.mod, replace ../) that `go test ./...` never
+# builds: a dataserver or client API change that breaks the benchmark
+# fails here instead of at its next run.
+perfbench-check:
+	cd perfbench && GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) vet ./... && \
+		GOFLAGS=-mod=mod GOPROXY=off GOWORK=off $(GO) test -short ./...
 
 check: build vet fmt-check race
 

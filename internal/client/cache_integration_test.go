@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"math/rand"
 	"testing"
 	"time"
 
@@ -17,21 +16,7 @@ import (
 // each operation.
 func newLeasedClient(t *testing.T, tc *testCluster, host string, ttl time.Duration) (*Client, *obs.Registry) {
 	t.Helper()
-	reg := obs.NewRegistry()
-	c, err := New(Options{
-		NameserverAddr: tc.nsAddr,
-		FlowserverAddr: tc.fsAddr,
-		Host:           host,
-		Consistency:    Sequential,
-		Rand:           rand.New(rand.NewSource(5)),
-		CacheTTL:       ttl,
-		Metrics:        reg,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c, reg
+	return newMeteredClient(t, tc, host, func(o *Options) { o.CacheTTL = ttl })
 }
 
 // secondClientHost returns the other reserved (non-dataserver) host.

@@ -499,16 +499,23 @@ func (c *Client) Delete(ctx context.Context, name string) error {
 	return nil
 }
 
-// ReadAll reads the whole file at its current authoritative size.
+// ReadAll reads the whole file, up to the serving replica's end of file.
+// The cached size only sizes the Flowserver request: the bulk read asks
+// for dataserver.ReadToEnd and takes its length from the replica's reply.
+// Because the primary relays every piece to every replica before acking
+// it, the result holds every append acknowledged before the read began.
+// A read costs one fs.Select, one bulk stream and one fs.Finished; no
+// size probe precedes it.
 func (c *Client) ReadAll(ctx context.Context, name string) ([]byte, error) {
-	info, err := c.Stat(ctx, name)
+	info, err := c.fileInfo(ctx, name)
 	if err != nil {
 		return nil, err
 	}
-	if info.SizeBytes == 0 {
-		return nil, nil
+	data, err := c.read(ctx, name, info, span{toEnd: true})
+	if err != nil || len(data) == 0 {
+		return nil, err
 	}
-	return c.ReadAt(ctx, name, 0, info.SizeBytes)
+	return data, nil
 }
 
 // ReadAt reads length bytes starting at offset.
@@ -533,51 +540,78 @@ func (c *Client) ReadAt(ctx context.Context, name string, offset, length int64) 
 			return nil, fmt.Errorf("client: read [%d, %d) beyond size %d", offset, offset+length, info.SizeBytes)
 		}
 	}
-
-	buf := make([]byte, length)
-	if c.opts.Consistency == Strong {
-		// Immutable chunks can come from anywhere; the tail chunk must
-		// come from the primary, which orders appends (§3.4).
-		lastChunkStart := (info.SizeBytes - 1) / info.ChunkSize * info.ChunkSize
-		if offset+length > lastChunkStart {
-			split := lastChunkStart - offset
-			if split < 0 {
-				split = 0
-			}
-			var wg sync.WaitGroup
-			var errBody, errTail error
-			if split > 0 {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					errBody = c.readSegment(ctx, name, info, offset, buf[:split], false)
-				}()
-			}
-			errTail = c.readSegment(ctx, name, info, offset+split, buf[split:], true)
-			wg.Wait()
-			if errBody != nil {
-				return nil, errBody
-			}
-			if errTail != nil {
-				return nil, errTail
-			}
-			return buf, nil
-		}
-	}
-	if err := c.readSegment(ctx, name, info, offset, buf, false); err != nil {
-		return nil, err
-	}
-	return buf, nil
+	return c.read(ctx, name, info, span{off: offset, buf: make([]byte, length)})
 }
 
-// readSegment fills buf from the file starting at offset. primaryOnly
-// pins the read to the primary replica; otherwise the Flowserver (when
-// configured) chooses the replica(s) and may split the read in two
-// (§4.3). Every branch funnels into readWithFailover, so a dead or
-// stalled replica costs a bounded attempt, never the read.
-func (c *Client) readSegment(ctx context.Context, name string, info nameserver.FileInfo, offset int64, buf []byte, primaryOnly bool) error {
-	if len(buf) == 0 {
-		return nil
+// span is the byte range one read fetches: [off, off+len(buf)) into buf,
+// or, when toEnd, [off, end of file) as the serving replica knows it,
+// into a buffer sized from the replica's reply.
+type span struct {
+	off   int64
+	buf   []byte
+	toEnd bool
+}
+
+// expect is how many bytes the span should hold given the cached file
+// size: exact for a fixed range, an estimate for a to-end read.
+func (sp span) expect(size int64) int64 {
+	if !sp.toEnd {
+		return int64(len(sp.buf))
+	}
+	return max(size-sp.off, 0)
+}
+
+// read fetches sp in the configured consistency mode. A Strong read that
+// reaches the cached last chunk splits there: the immutable body may come
+// from any replica, but the tail must come from the primary, which orders
+// appends (§3.4).
+func (c *Client) read(ctx context.Context, name string, info nameserver.FileInfo, sp span) ([]byte, error) {
+	if c.opts.Consistency != Strong {
+		return c.readSegment(ctx, name, info, sp, false)
+	}
+	lastChunkStart := (info.SizeBytes - 1) / info.ChunkSize * info.ChunkSize
+	if !sp.toEnd && sp.off+int64(len(sp.buf)) <= lastChunkStart {
+		return c.readSegment(ctx, name, info, sp, false)
+	}
+	split := max(lastChunkStart-sp.off, 0)
+	body, tail := sp, sp
+	tail.off += split
+	if sp.toEnd {
+		body = span{off: sp.off, buf: make([]byte, split, sp.expect(info.SizeBytes))}
+	} else {
+		body.buf, tail.buf = sp.buf[:split], sp.buf[split:]
+	}
+	var (
+		wg      sync.WaitGroup
+		errBody error
+	)
+	if split > 0 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			_, errBody = c.readSegment(ctx, name, info, body, false)
+		}()
+	}
+	got, errTail := c.readSegment(ctx, name, info, tail, true)
+	wg.Wait()
+	if err := errors.Join(errBody, errTail); err != nil {
+		return nil, err
+	}
+	if sp.toEnd {
+		return append(body.buf, got...), nil
+	}
+	return sp.buf, nil
+}
+
+// readSegment fetches sp. primaryOnly pins the read to the primary
+// replica; otherwise the Flowserver (when configured) chooses the
+// replica(s) and may split the read in two (§4.3). Every branch funnels
+// into readWithFailover, so a dead or stalled replica costs a bounded
+// attempt, never the read.
+func (c *Client) readSegment(ctx context.Context, name string, info nameserver.FileInfo, sp span, primaryOnly bool) ([]byte, error) {
+	n := sp.expect(info.SizeBytes)
+	if !sp.toEnd && n == 0 {
+		return sp.buf, nil
 	}
 	if primaryOnly || (c.fs == nil && c.fr == nil) {
 		cands := []nameserver.ReplicaLoc{info.Primary()}
@@ -594,7 +628,7 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 			}
 			cands = c.orderCandidates(info, &first)
 		}
-		return c.readWithFailover(ctx, name, info, cands, c.assignTagger(len(buf)), offset, buf, primaryOnly)
+		return c.readWithFailover(ctx, name, info, cands, c.assignTagger(n), sp, primaryOnly)
 	}
 
 	candidates := info.Replicas
@@ -618,68 +652,115 @@ func (c *Client) readSegment(ctx context.Context, name string, info nameserver.F
 	assignments, fstub, err := c.flowSelect(sctx, flowserver.SelectArgs{
 		ClientHost:   c.opts.Host,
 		ReplicaHosts: hosts,
-		Bits:         float64(len(buf)) * 8,
+		Bits:         float64(n) * 8,
 	})
 	if err != nil || len(assignments) == 0 {
 		if ctx.Err() != nil {
-			return ctx.Err()
+			return nil, ctx.Err()
 		}
 		// The Flowserver is an optimizer, not a dependency: degrade to
 		// locality-order replica selection with unscheduled flows.
 		c.met.readsDegraded.Inc()
-		return c.readWithFailover(ctx, name, info, c.orderCandidates(info, nil), nil, offset, buf, false)
+		return c.readWithFailover(ctx, name, info, c.orderCandidates(info, nil), nil, sp, false)
+	}
+	for _, a := range assignments {
+		if _, ok := byHost[a.ReplicaHost]; !ok {
+			c.finishFlows(fstub, assignments)
+			return nil, fmt.Errorf("client: flowserver chose unknown replica host %q", a.ReplicaHost)
+		}
 	}
 
-	// Convert the bit split into byte ranges, last assignment taking the
-	// remainder.
+	// Convert the bit split into byte ranges of the expected length, the
+	// last assignment taking the remainder: for a to-end read, everything
+	// from its offset to its replica's end of file. Leading segments of a
+	// split to-end read land in dst, the last one is appended after them.
 	totalBits := 0.0
 	for _, a := range assignments {
 		totalBits += a.Bits
 	}
+	dst := sp.buf
+	if sp.toEnd && len(assignments) > 1 {
+		dst = make([]byte, n)
+	}
 	var (
 		wg       sync.WaitGroup
 		errs     = make([]error, len(assignments))
+		lastIdx  = len(assignments) - 1
+		last     []byte
 		segStart = int64(0)
 	)
 	for i, a := range assignments {
-		rep, ok := byHost[a.ReplicaHost]
-		if !ok {
-			return fmt.Errorf("client: flowserver chose unknown replica host %q", a.ReplicaHost)
-		}
-		segLen := int64(len(buf)) - segStart
-		if i < len(assignments)-1 && totalBits > 0 {
-			segLen = int64(float64(len(buf)) * a.Bits / totalBits)
-			if rem := int64(len(buf)) - segStart; segLen > rem {
-				segLen = rem
+		rep := byHost[a.ReplicaHost]
+		seg := span{off: sp.off + segStart}
+		switch {
+		case i < lastIdx:
+			segLen := n - segStart
+			if totalBits > 0 {
+				segLen = min(int64(float64(n)*a.Bits/totalBits), segLen)
 			}
+			seg.buf = dst[segStart : segStart+segLen]
+			segStart += segLen
+		case sp.toEnd:
+			seg.toEnd = true
+		default:
+			seg.buf = dst[segStart:]
 		}
-		i, rep, off, sub := i, rep, offset+segStart, buf[segStart:segStart+segLen]
-		flowID := uint64(a.FlowID)
 		// The scheduled flow id applies only to the replica the
 		// Flowserver chose; failover attempts run unscheduled.
+		flowID := uint64(a.FlowID)
 		tag := func(r nameserver.ReplicaLoc) (uint64, func()) {
 			if r.ServerID == rep.ServerID {
 				return flowID, nil
 			}
 			return 0, nil
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, off, sub, false)
+		fetch := func() {
+			got, err := c.readWithFailover(ctx, name, info, c.orderCandidates(info, &rep), tag, seg, false)
+			errs[i] = err
+			if i == lastIdx {
+				last = got
+			}
 			// Always release the flow table entry, even when the read (or
-			// its context) failed — on a fresh context so cancellation
-			// cannot leak control-plane state. The release goes to the
-			// stub that issued the assignment: under directory routing
-			// only the coordinating shard knows the flow.
-			fctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			_ = fstub.Finished(fctx, flowserver.FlowID(flowID))
-			cancel()
-		}()
-		segStart += segLen
+			// its context) failed.
+			c.finishFlows(fstub, assignments[i:i+1])
+		}
+		if i < lastIdx {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				fetch()
+			}()
+		} else {
+			fetch()
+		}
 	}
 	wg.Wait()
-	return errors.Join(errs...)
+	if err := errors.Join(errs...); err != nil {
+		return nil, err
+	}
+	switch {
+	case !sp.toEnd:
+		return sp.buf, nil
+	case lastIdx == 0:
+		return last, nil
+	default:
+		return append(dst[:segStart], last...), nil
+	}
+}
+
+// finishFlows releases read flow-table entries on a fresh bounded
+// context, so cancellation cannot leak control-plane state. The release
+// goes to the stub that issued the assignments: under directory routing
+// only the coordinating shard knows the flows. Local assignments
+// registered nothing and are skipped.
+func (c *Client) finishFlows(fstub *flowserver.RPCClient, as []flowserver.AssignmentDTO) {
+	fctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, a := range as {
+		if !a.Local {
+			_ = fstub.Finished(fctx, a.FlowID)
+		}
+	}
 }
 
 func (c *Client) pick(n int) int {
@@ -690,40 +771,54 @@ func (c *Client) pick(n int) int {
 
 // assignTagger adapts Options.AssignFlow to a flowTagger for reads that
 // bypass the Flowserver; nil when no AssignFlow hook is configured.
-func (c *Client) assignTagger(n int) flowTagger {
+func (c *Client) assignTagger(n int64) flowTagger {
 	if c.opts.AssignFlow == nil {
 		return nil
 	}
 	return func(rep nameserver.ReplicaLoc) (uint64, func()) {
-		return c.opts.AssignFlow(rep.Host, int64(n))
+		return c.opts.AssignFlow(rep.Host, n)
 	}
 }
 
-func (c *Client) readOnce(ctx context.Context, name string, info nameserver.FileInfo, rep nameserver.ReplicaLoc, flowID uint64, offset int64, buf []byte) error {
+// readOnce fetches sp from one replica over a fresh bulk connection and
+// returns the bytes read: sp.buf for a fixed range, a buffer sized from
+// the replica's reported file size for a to-end read.
+func (c *Client) readOnce(ctx context.Context, name string, info nameserver.FileInfo, rep nameserver.ReplicaLoc, flowID uint64, sp span) ([]byte, error) {
 	conn, err := c.opts.DialData(ctx, rep.DataAddr)
 	if err != nil {
-		return fmt.Errorf("client: dial %s: %w", rep.ServerID, err)
+		return nil, fmt.Errorf("client: dial %s: %w", rep.ServerID, err)
 	}
 	defer conn.Close()
 	if deadline, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(deadline)
 	}
+	length := int64(len(sp.buf))
+	if sp.toEnd {
+		length = dataserver.ReadToEnd
+	}
 	req := dataserver.EncodeReadRequest(dataserver.ReadRequest{
 		FlowID: flowID,
 		FileID: info.ID,
-		Offset: offset,
-		Length: int64(len(buf)),
+		Offset: sp.off,
+		Length: length,
 	})
 	if _, err := conn.Write(req); err != nil {
-		return fmt.Errorf("client: send read to %s: %w", rep.ServerID, err)
+		return nil, fmt.Errorf("client: send read to %s: %w", rep.ServerID, err)
 	}
 	size, err := dataserver.ReadResponseHeader(conn)
 	if err != nil {
-		return fmt.Errorf("client: read %s from %s: %w", name, rep.ServerID, err)
+		return nil, fmt.Errorf("client: read %s from %s: %w", name, rep.ServerID, err)
 	}
 	c.observeSize(name, info.Version, size)
-	if _, err := io.ReadFull(conn, buf); err != nil {
-		return fmt.Errorf("client: read %s body from %s: %w", name, rep.ServerID, err)
+	buf := sp.buf
+	if sp.toEnd {
+		if size < sp.off {
+			return nil, fmt.Errorf("client: read %s from %s: size %d is below offset %d", name, rep.ServerID, size, sp.off)
+		}
+		buf = make([]byte, size-sp.off)
 	}
-	return nil
+	if _, err := io.ReadFull(conn, buf); err != nil {
+		return nil, fmt.Errorf("client: read %s body from %s: %w", name, rep.ServerID, err)
+	}
+	return buf, nil
 }

@@ -359,22 +359,7 @@ func TestReadFailoverToPrimary(t *testing.T) {
 }
 
 func TestMultiReplicaSplitRead(t *testing.T) {
-	// Client pod 0; replicas in pods 1 and 2 behind disjoint 10 Mbps
-	// uplinks while the client's downlink is 100 Mbps: the Flowserver
-	// should split reads across both replicas (§4.3).
-	cfg := topology.Config{
-		Pods: 3, RacksPerPod: 1, HostsPerRack: 2, AggsPerPod: 2, Cores: 2,
-		EdgeLinkBps: topology.Mbps(100), EdgeAggLinkBps: topology.Mbps(10),
-		AggCoreLinkBps: topology.Mbps(10),
-	}
-	topo, err := topology.New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dsHosts := []topology.NodeID{
-		topo.HostAt(1, 0, 0), topo.HostAt(2, 0, 0),
-	}
-	tc := startCluster(t, cfg, dsHosts, flowserver.Options{MultiReplica: true})
+	tc, topo, _ := splitCluster(t)
 	c := newClient(t, tc, topo.Node(topo.HostAt(0, 0, 0)).Name, true, Sequential)
 	ctx := context.Background()
 

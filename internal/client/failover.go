@@ -83,14 +83,14 @@ func (c *Client) orderCandidates(info nameserver.FileInfo, first *nameserver.Rep
 // degraded, control-plane-invisible mode.
 type flowTagger func(rep nameserver.ReplicaLoc) (flowID uint64, done func())
 
-// readWithFailover fills buf from [offset, offset+len(buf)), retrying
-// across the candidate replicas with a per-attempt timeout and exponential
-// backoff between passes. Between passes the file metadata is refreshed so
-// a repaired replica set (or a promoted primary, when primaryOnly) is
+// readWithFailover fetches sp (see readOnce), retrying across the
+// candidate replicas with a per-attempt timeout and exponential backoff
+// between passes. Between passes the file metadata is refreshed so a
+// repaired replica set (or a promoted primary, when primaryOnly) is
 // picked up. It returns the joined attempt errors only after every pass
 // has failed — the read path never hangs on a single dead replica.
 func (c *Client) readWithFailover(ctx context.Context, name string, info nameserver.FileInfo,
-	cands []nameserver.ReplicaLoc, tag flowTagger, offset int64, buf []byte, primaryOnly bool) error {
+	cands []nameserver.ReplicaLoc, tag flowTagger, sp span, primaryOnly bool) ([]byte, error) {
 
 	retries := c.opts.ReadRetries
 	var errs []error
@@ -98,7 +98,7 @@ func (c *Client) readWithFailover(ctx context.Context, name string, info nameser
 		if pass > 0 {
 			c.met.failoverPasses.Inc()
 			if err := c.backoff(ctx, pass); err != nil {
-				return errors.Join(append(errs, err)...)
+				return nil, errors.Join(append(errs, err)...)
 			}
 			c.invalidate(name)
 			fresh, err := c.fileInfo(ctx, name)
@@ -120,33 +120,33 @@ func (c *Client) readWithFailover(ctx context.Context, name string, info nameser
 			if tag != nil {
 				flowID, done = tag(rep)
 			}
-			err := c.readAttempt(ctx, name, info, rep, flowID, offset, buf)
+			got, err := c.readAttempt(ctx, name, info, rep, flowID, sp)
 			if done != nil {
 				done()
 			}
 			if err == nil {
 				c.met.attemptsOK.Inc()
-				return nil
+				return got, nil
 			}
 			c.met.attemptsErr.Inc()
 			errs = append(errs, err)
 			if ctx.Err() != nil {
-				return errors.Join(errs...)
+				return nil, errors.Join(errs...)
 			}
 		}
 	}
-	return fmt.Errorf("client: read %s failed on every replica: %w", name, errors.Join(errs...))
+	return nil, fmt.Errorf("client: read %s failed on every replica: %w", name, errors.Join(errs...))
 }
 
 // readAttempt performs one bounded read attempt against one replica.
 func (c *Client) readAttempt(ctx context.Context, name string, info nameserver.FileInfo,
-	rep nameserver.ReplicaLoc, flowID uint64, offset int64, buf []byte) error {
+	rep nameserver.ReplicaLoc, flowID uint64, sp span) ([]byte, error) {
 	if t := c.opts.ReadTimeout; t > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, t)
 		defer cancel()
 	}
-	return c.readOnce(ctx, name, info, rep, flowID, offset, buf)
+	return c.readOnce(ctx, name, info, rep, flowID, sp)
 }
 
 // backoff sleeps the exponential retry delay for the given pass (1-based),

@@ -649,12 +649,19 @@ func (s *Server) finishFlows(fsc *flowserver.RPCClient, flows []flowserver.FlowI
 //
 // and the server replies with status(1); on success the reply continues
 // with fileSize(8) followed by exactly length bytes of data, written
-// through the pacer. On failure a message string follows (length-prefixed
-// with 2 bytes).
+// through the pacer. A length of ReadToEnd asks for [offset, fileSize):
+// the reader learns how many bytes follow from the fileSize it is sent.
+// On failure a message string follows (length-prefixed with 2 bytes).
 const (
 	dataStatusOK  = byte(0)
 	dataStatusErr = byte(1)
 )
+
+// ReadToEnd is the ReadRequest length that reads from the offset to the
+// replica's local end of file, as of the request's validation. Local
+// size only moves once a whole append piece is written, so such a read
+// never ends inside a piece.
+const ReadToEnd = int64(-1)
 
 // ReadRequest is the bulk read header (exported for the client package).
 type ReadRequest struct {
@@ -744,6 +751,9 @@ func (s *Server) serveOneRead(conn net.Conn) {
 		return
 	}
 	size := fs.localSize()
+	if req.Length == ReadToEnd && req.Offset >= 0 && req.Offset <= size {
+		req.Length = size - req.Offset
+	}
 	if req.Offset < 0 || req.Length < 0 || req.Offset+req.Length > size {
 		fail(fmt.Errorf("%w: [%d, %d) of %d", ErrOutOfRange, req.Offset, req.Offset+req.Length, size))
 		return

@@ -423,3 +423,52 @@ func TestPacerIsApplied(t *testing.T) {
 		t.Errorf("read completed in %v; pacer not applied", elapsed)
 	}
 }
+
+// TestDataProtocolReadToEnd: a ReadToEnd request streams exactly
+// [offset, size) and then closes; offset == size is an empty success;
+// any other negative length and any offset past the end are rejected.
+func TestDataProtocolReadToEnd(t *testing.T) {
+	c := startCluster(t, 2, 32)
+	payload := bytes.Repeat([]byte("abcdefg"), 11) // 77 bytes, three chunks
+	if err := c.ctl[0].Call(context.Background(), MethodAppend,
+		AppendArgs{FileID: c.info.ID, Data: payload}, &AppendReply{}); err != nil {
+		t.Fatal(err)
+	}
+
+	read := func(s *Server, off, length int64) (int64, []byte, error) {
+		conn, err := net.Dial("tcp", s.DataAddr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		if _, err := conn.Write(EncodeReadRequest(ReadRequest{FileID: c.info.ID, Offset: off, Length: length})); err != nil {
+			t.Fatal(err)
+		}
+		size, err := ReadResponseHeader(conn)
+		if err != nil {
+			return 0, nil, err
+		}
+		body, err := io.ReadAll(conn)
+		return size, body, err
+	}
+
+	for _, s := range c.servers {
+		for _, off := range []int64{0, 5, 32, 76, 77} {
+			size, body, err := read(s, off, ReadToEnd)
+			if err != nil {
+				t.Fatalf("%s: to-end read at %d: %v", s.cfg.ID, off, err)
+			}
+			if size != 77 || int64(len(body)) != size-off || !bytes.Equal(body, payload[off:]) {
+				t.Errorf("%s: to-end read at %d = size %d, %d bytes; want size 77, %d bytes of the payload",
+					s.cfg.ID, off, size, len(body), 77-off)
+			}
+		}
+	}
+	for _, tc := range []struct{ off, length int64 }{
+		{78, ReadToEnd}, {-1, ReadToEnd}, {0, -2}, {0, -77}, {5, -1 << 62},
+	} {
+		if _, _, err := read(c.servers[0], tc.off, tc.length); !errors.Is(err, ErrOutOfRange) {
+			t.Errorf("read offset %d length %d: err = %v, want ErrOutOfRange", tc.off, tc.length, err)
+		}
+	}
+}

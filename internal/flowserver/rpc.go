@@ -84,6 +84,31 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		nameByHost[h] = n.Name
 	}
 
+	// toWire runs the assignment hook on every non-local assignment and
+	// converts the batch to its wire form. A local assignment's estimate
+	// is +Inf, which JSON cannot carry; it is sent as 0, since Local
+	// already says the transfer never touches the network.
+	toWire := func(as []Assignment) []AssignmentDTO {
+		out := make([]AssignmentDTO, 0, len(as))
+		for _, asg := range as {
+			d := AssignmentDTO{
+				FlowID:      asg.FlowID,
+				ReplicaHost: nameByHost[asg.Replica],
+				Bits:        asg.Bits,
+				EstimatedBw: asg.EstimatedBw,
+				Local:       asg.Local(),
+				PathLen:     len(asg.Path),
+			}
+			if d.Local {
+				d.EstimatedBw = 0
+			} else if hooks.OnAssign != nil {
+				hooks.OnAssign(asg)
+			}
+			out = append(out, d)
+		}
+		return out
+	}
+
 	selectHandler := func(_ context.Context, params json.RawMessage) (any, error) {
 		var a SelectArgs
 		if err := json.Unmarshal(params, &a); err != nil {
@@ -105,21 +130,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		if err != nil {
 			return nil, err
 		}
-		out := make([]AssignmentDTO, 0, len(as))
-		for _, asg := range as {
-			if !asg.Local() && hooks.OnAssign != nil {
-				hooks.OnAssign(asg)
-			}
-			out = append(out, AssignmentDTO{
-				FlowID:      asg.FlowID,
-				ReplicaHost: nameByHost[asg.Replica],
-				Bits:        asg.Bits,
-				EstimatedBw: asg.EstimatedBw,
-				Local:       asg.Local(),
-				PathLen:     len(asg.Path),
-			})
-		}
-		return out, nil
+		return toWire(as), nil
 	}
 
 	selectWriteHandler := func(_ context.Context, params json.RawMessage) (any, error) {
@@ -143,21 +154,7 @@ func RegisterRPC(srv *wire.Server, fs Service, topo *topology.Topology, hooks Ho
 		if err != nil {
 			return nil, err
 		}
-		out := make([]AssignmentDTO, 0, len(as))
-		for _, asg := range as {
-			if !asg.Local() && hooks.OnAssign != nil {
-				hooks.OnAssign(asg)
-			}
-			out = append(out, AssignmentDTO{
-				FlowID:      asg.FlowID,
-				ReplicaHost: nameByHost[asg.Replica],
-				Bits:        asg.Bits,
-				EstimatedBw: asg.EstimatedBw,
-				Local:       asg.Local(),
-				PathLen:     len(asg.Path),
-			})
-		}
-		return out, nil
+		return toWire(as), nil
 	}
 
 	finishedHandler := func(_ context.Context, params json.RawMessage) (any, error) {

@@ -116,6 +116,14 @@ type response struct {
 	ErrCode string          `json:"errCode,omitempty"`
 }
 
+// writeFrame sends the length prefix and the body as two writes, and the
+// session layer's transparent redial depends on that. When the peer has
+// closed the connection, the first write still succeeds on loopback, the
+// peer answers it with a reset, and the second write fails (EPIPE). A
+// failed write makes the call an *UnsentError, which rpc.Peer retries on
+// a fresh session. With one write per frame (net.Buffers) the whole
+// request goes out, and the call fails after the send with "connection
+// lost: EOF" (TestPeerReconnectsAcrossServerRestart in internal/rpc).
 func writeFrame(w io.Writer, mu *sync.Mutex, v any) error {
 	body, err := json.Marshal(v)
 	if err != nil {
